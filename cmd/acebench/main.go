@@ -529,9 +529,10 @@ func runGate(sessions, rooms, adds, procs int, out string) bool {
 	if rep != nil {
 		fmt.Printf("connect+join %d sessions: %.2fs (%.0f joins/s)\n",
 			rep.Sessions, rep.ConnectSecs, rep.JoinsPerSec)
-		fmt.Printf("apply %d ops: %.2fs (%.0f ops/s), broadcasts %d, send-queue drops %d\n",
-			rep.Sessions*rep.Adds, rep.ApplySecs, rep.OpsPerSec,
-			rep.Stats.Broadcasts, rep.Stats.SendQueueDrops)
+		fmt.Printf("apply %d adds: %.2fs (%.0f ops/s)\n", rep.Sessions*rep.Adds, rep.ApplySecs, rep.OpsPerSec)
+		fmt.Printf("deltas: %d owed, %d read, %d dropped (%d sessions short, worst %.3f) in %.2fs; %.1f frames/flush\n",
+			rep.DeltasExpected, rep.DeltasDelivered, rep.DeltasDropped, rep.SessionsShort,
+			rep.WorstDelivered, rep.DeliverSecs, rep.FramesPerFlush)
 		fmt.Printf("churn %d waves x %d rooms: table %d -> %d slots (bound %d); malformed frames %d (bad %d)\n",
 			rep.ChurnWaves, rep.ChurnRooms, rep.SlotsBeforeChurn, rep.SlotsAfterChurn,
 			rep.SlotsBound, rep.Malformed, rep.Stats.BadFrames)
@@ -541,6 +542,6 @@ func runGate(sessions, rooms, adds, procs int, out string) bool {
 		return false
 	}
 	fmt.Printf("wrote %s\n", out)
-	fmt.Println("acceptance gates held: concurrency floor, checksum parity, bounded space table, zero panics")
+	fmt.Println("acceptance gates held: concurrency floor, delta accounting, checksum parity, bounded space table, zero panics")
 	return true
 }

@@ -9,8 +9,11 @@ package bench
 //   - Load: `Sessions` websocket sessions connect and join `Rooms`
 //     rooms, all concurrently live (gate: peak concurrency and live
 //     rooms meet the floors). Every session then fires `Adds` adds at
-//     its own cell and one auditor per room checks the closed-form
-//     sums — checksum parity across external clients (gate).
+//     its own cell while reading its room's deltas; every owed delta
+//     must be either read by its session or counted as a send-queue
+//     drop (gate), and the drops are reported. One auditor per room
+//     then checks the closed-form sums — checksum parity across
+//     external clients (gate).
 //
 //   - Churn: after the load teardown, rooms are created and destroyed
 //     in waves over the recycled slots (gate: the space table does not
@@ -31,10 +34,12 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
 	"github.com/acedsm/ace/internal/gateway"
+	"github.com/acedsm/ace/internal/trace"
 )
 
 // GateConfig sizes one gate benchmark run.
@@ -85,6 +90,7 @@ func (c GateConfig) withDefaults() GateConfig {
 // GateGates records each acceptance gate's verdict.
 type GateGates struct {
 	Concurrency bool `json:"concurrency"`   // peak sessions >= Sessions over >= Rooms rooms
+	Delivery    bool `json:"delivery"`      // every owed delta was delivered or counted as dropped
 	Parity      bool `json:"parity"`        // every auditor checksum matched the closed form
 	BoundedHeap bool `json:"bounded_table"` // churn did not grow the space table
 	ZeroPanics  bool `json:"zero_panics"`   // malformed phase completed with the process alive
@@ -92,11 +98,14 @@ type GateGates struct {
 
 // GateReport is the BENCH_gate.json document.
 type GateReport struct {
-	Generated string `json:"generated_by"`
-	Procs     int    `json:"procs"`
-	Sessions  int    `json:"sessions"`
-	Rooms     int    `json:"rooms"`
-	Adds      int    `json:"adds_per_session"`
+	Generated  string `json:"generated_by"`
+	GoVersion  string `json:"go_version"`
+	HostCPUs   int    `json:"host_cpus"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	Procs      int    `json:"procs"`
+	Sessions   int    `json:"sessions"`
+	Rooms      int    `json:"rooms"`
+	Adds       int    `json:"adds_per_session"`
 
 	PeakSessions int     `json:"peak_concurrent_sessions"`
 	PeakRooms    int     `json:"peak_live_rooms"`
@@ -104,6 +113,20 @@ type GateReport struct {
 	JoinsPerSec  float64 `json:"joins_per_sec"`
 	ApplySecs    float64 `json:"apply_seconds"`
 	OpsPerSec    float64 `json:"ops_per_sec"`
+
+	// Delivery accounting for the load phase: each add owes one EvDelta
+	// to every member of its room, the adder included. Delivered counts
+	// what the sessions read, dropped the SlowDrop send-queue drops;
+	// together they must make up expected. DeliverSecs runs from the
+	// first add until they do; FramesPerFlush is the session writers'
+	// coalescing factor over that span.
+	DeliverSecs     float64 `json:"deliver_seconds"`
+	DeltasExpected  uint64  `json:"deltas_expected"`
+	DeltasDelivered uint64  `json:"deltas_delivered"`
+	DeltasDropped   uint64  `json:"deltas_dropped"`
+	SessionsShort   int     `json:"sessions_short"`                // sessions that read fewer deltas than owed
+	WorstDelivered  float64 `json:"worst_session_delivered_ratio"` // min over sessions of read/owed
+	FramesPerFlush  float64 `json:"frames_per_flush"`
 
 	ChurnWaves       int `json:"churn_waves"`
 	ChurnRooms       int `json:"churn_rooms_per_wave"`
@@ -116,6 +139,7 @@ type GateReport struct {
 	Stats struct {
 		FramesIn           uint64 `json:"frames_in"`
 		FramesOut          uint64 `json:"frames_out"`
+		Flushes            uint64 `json:"flushes"`
 		BadFrames          uint64 `json:"bad_frames"`
 		OpsApplied         uint64 `json:"ops_applied"`
 		OpsDropped         uint64 `json:"ops_dropped"`
@@ -177,6 +201,9 @@ func RunGate(cfg GateConfig) (*GateReport, error) {
 	cfg = cfg.withDefaults()
 	rep := &GateReport{
 		Generated:  "acebench -exp gate",
+		GoVersion:  runtime.Version(),
+		HostCPUs:   runtime.NumCPU(),
+		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Procs:      cfg.Procs,
 		Sessions:   cfg.Sessions,
 		Rooms:      cfg.Rooms,
@@ -233,24 +260,28 @@ func RunGate(cfg GateConfig) (*GateReport, error) {
 	rep.PeakRooms = g.LiveRooms()
 	rep.Gates.Concurrency = rep.PeakSessions >= cfg.Sessions && rep.PeakRooms >= cfg.Rooms
 
-	// Phase 2: every session adds to its own cell, fire-and-forget;
-	// quiescence is the op counter reaching the closed-form total.
-	applied0 := g.Stats().OpsApplied.Load()
+	// Phase 2: every session adds to its own cell, fire-and-forget. The
+	// clock stops when the last add is applied: each applied add makes
+	// exactly one broadcast, while OpsApplied also counts gets.
+	s0 := g.Stats().Snapshot()
 	start = time.Now()
 	if err := fl.adds(); err != nil {
 		return rep, err
 	}
-	target := applied0 + uint64(cfg.Sessions)*uint64(cfg.Adds)
+	target := s0.Broadcasts + uint64(cfg.Sessions)*uint64(cfg.Adds)
 	deadline := time.Now().Add(120 * time.Second)
-	for g.Stats().OpsApplied.Load() < target {
+	for g.Stats().Broadcasts.Load() < target {
 		if time.Now().After(deadline) {
-			return rep, fmt.Errorf("gate: ops never quiesced: applied %d, want %d (dropped %d)",
-				g.Stats().OpsApplied.Load(), target, g.Stats().OpsDropped.Load())
+			return rep, fmt.Errorf("gate: adds never quiesced: applied %d of %d (ops dropped %d)",
+				g.Stats().Broadcasts.Load()-s0.Broadcasts, target-s0.Broadcasts, g.Stats().OpsDropped.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	rep.ApplySecs = time.Since(start).Seconds()
 	rep.OpsPerSec = float64(cfg.Sessions*cfg.Adds) / rep.ApplySecs
+	if err := accountDeltas(rep, cfg, g, fl, s0, start); err != nil {
+		return rep, err
+	}
 
 	// Parity: one fresh auditor per room reads the state and checks the
 	// closed-form sums — what the room's members wrote is what an
@@ -391,6 +422,7 @@ func RunGate(cfg GateConfig) (*GateReport, error) {
 	final := g.Stats().Snapshot()
 	rep.Stats.FramesIn = final.FramesIn
 	rep.Stats.FramesOut = final.FramesOut
+	rep.Stats.Flushes = final.Flushes
 	rep.Stats.BadFrames = final.BadFrames
 	rep.Stats.OpsApplied = final.OpsApplied
 	rep.Stats.OpsDropped = final.OpsDropped
@@ -406,6 +438,56 @@ func RunGate(cfg GateConfig) (*GateReport, error) {
 			rep.PeakSessions, rep.PeakRooms)
 	}
 	return rep, nil
+}
+
+// accountDeltas waits until every delta the load phase owes is either
+// read by its session or counted as a send-queue drop, then records the
+// delivery figures. Any shortfall past the deadline fails the delivery
+// gate: a loss the gateway did not count is a bug, not overload.
+func accountDeltas(rep *GateReport, cfg GateConfig, g *gateway.Gateway, fl sessionFleet, s0 trace.GateSnapshot, start time.Time) error {
+	members := make([]uint64, cfg.Rooms)
+	for i := 0; i < cfg.Sessions; i++ {
+		members[i%cfg.Rooms]++
+	}
+	owed := func(i int) uint64 { return members[i%cfg.Rooms] * uint64(cfg.Adds) }
+	for i := 0; i < cfg.Sessions; i++ {
+		rep.DeltasExpected += owed(i)
+	}
+	deadline := time.Now().Add(120 * time.Second)
+	for {
+		got, err := fl.deltas()
+		if err != nil {
+			return err
+		}
+		if len(got) != cfg.Sessions {
+			return fmt.Errorf("gate: delta counts for %d sessions, want %d", len(got), cfg.Sessions)
+		}
+		s := g.Stats().Snapshot()
+		rep.DeltasDelivered, rep.SessionsShort, rep.WorstDelivered = 0, 0, 1
+		for i, n := range got {
+			rep.DeltasDelivered += n
+			if n < owed(i) {
+				rep.SessionsShort++
+			}
+			if r := float64(n) / float64(owed(i)); r < rep.WorstDelivered {
+				rep.WorstDelivered = r
+			}
+		}
+		rep.DeltasDropped = s.SendQueueDrops - s0.SendQueueDrops
+		if accounted := rep.DeltasDelivered + rep.DeltasDropped; accounted >= rep.DeltasExpected || time.Now().After(deadline) {
+			rep.DeliverSecs = time.Since(start).Seconds()
+			if f := s.Flushes - s0.Flushes; f > 0 {
+				rep.FramesPerFlush = float64(s.FramesOut-s0.FramesOut) / float64(f)
+			}
+			rep.Gates.Delivery = accounted == rep.DeltasExpected
+			if !rep.Gates.Delivery {
+				return fmt.Errorf("gate: delivery: %d deltas read + %d dropped, want %d owed",
+					rep.DeltasDelivered, rep.DeltasDropped, rep.DeltasExpected)
+			}
+			return nil
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // WriteGateReport runs the gate benchmark and writes BENCH_gate.json.

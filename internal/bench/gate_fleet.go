@@ -5,10 +5,12 @@ package bench
 // in-process for tests and small runs, and worker subprocesses for the
 // 10k-class runs where one process cannot hold both ends of every
 // loopback socket under the RLIMIT_NOFILE hard limit. The parent and
-// its workers speak a three-word line protocol over stdin/stdout:
+// its workers speak a line protocol over stdin/stdout:
 // the worker prints "ready" once every session is joined, the parent
-// says "adds", the worker fires them and prints "sent", the parent
-// says "close", the worker disconnects everything and prints "closed".
+// says "adds", the worker fires them and prints "sent"; the parent may
+// then say "deltas" any number of times, and the worker answers
+// "deltas" followed by each session's delta count; the parent says
+// "close", the worker disconnects everything and prints "closed".
 
 import (
 	"bufio"
@@ -17,16 +19,20 @@ import (
 	"os"
 	"os/exec"
 	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/acedsm/ace/internal/gateway"
 )
 
 // sessionFleet is the load-phase driver: all sessions joined, all adds
-// fired, all sessions closed.
+// fired, every session's delivered deltas counted, all sessions closed.
 type sessionFleet interface {
 	join() error
 	adds() error
+	deltas() ([]uint64, error) // EvDelta frames each session has read so far, by global id
 	close() error
 	shutdown() // best-effort cleanup on any exit path
 }
@@ -35,57 +41,94 @@ func newFleet(cfg GateConfig, addr string) (sessionFleet, error) {
 	if cfg.Workers > 0 && len(cfg.WorkerExec) > 0 {
 		return newWorkerFleet(cfg, addr)
 	}
-	return &localFleet{cfg: cfg, addr: addr, clients: make([]*gateway.Client, cfg.Sessions)}, nil
+	return newLocalFleet(addr, 0, cfg.Sessions, cfg.Rooms, cfg.Adds), nil
 }
 
 // gateRoom names session i's room; the formula is shared by the parent
 // (for expected sums) and every worker.
 func gateRoom(i, rooms int) string { return fmt.Sprintf("gate-%d", i%rooms) }
 
-// localFleet runs every session in this process.
+// localFleet runs count sessions, global ids [offset, offset+count), in
+// this process. Once joined, each session has a reader goroutine that
+// consumes its events and counts the deltas, as a live client would.
 type localFleet struct {
-	cfg     GateConfig
-	addr    string
-	clients []*gateway.Client
+	addr                 string
+	offset, rooms, nadds int
+	clients              []*gateway.Client
+	got                  []atomic.Uint64 // EvDelta frames read, per session
+	readers              sync.WaitGroup
+}
+
+func newLocalFleet(addr string, offset, count, rooms, adds int) *localFleet {
+	return &localFleet{addr: addr, offset: offset, rooms: rooms, nadds: adds,
+		clients: make([]*gateway.Client, count), got: make([]atomic.Uint64, count)}
 }
 
 func (f *localFleet) join() error {
-	return forEach(f.cfg.Sessions, 256, func(i int) error {
+	return forEach(len(f.clients), 256, func(i int) error {
+		id := f.offset + i
 		c, err := gateway.DialClient(f.addr)
 		if err != nil {
-			return fmt.Errorf("dial %d: %w", i, err)
+			return fmt.Errorf("dial %d: %w", id, err)
 		}
 		f.clients[i] = c
 		c.SetDeadline(time.Now().Add(120 * time.Second))
-		if _, _, err := c.Join(gateRoom(i, f.cfg.Rooms)); err != nil {
-			return fmt.Errorf("join %d: %w", i, err)
+		if _, _, err := c.Join(gateRoom(id, f.rooms)); err != nil {
+			return fmt.Errorf("join %d: %w", id, err)
 		}
+		f.readers.Add(1)
+		go f.read(c, &f.got[i])
 		return nil
 	})
 }
 
+// read counts c's deltas into got until its connection closes or its
+// deadline passes; a count that stops short shows up in the accounting.
+func (f *localFleet) read(c *gateway.Client, got *atomic.Uint64) {
+	defer f.readers.Done()
+	for {
+		ev, err := c.Recv()
+		if err != nil {
+			return
+		}
+		if ev.Kind == gateway.EvDelta {
+			got.Add(1)
+		}
+	}
+}
+
 func (f *localFleet) adds() error {
-	return forEach(f.cfg.Sessions, 256, func(i int) error {
+	return forEach(len(f.clients), 256, func(i int) error {
+		id := f.offset + i
 		c := f.clients[i]
 		c.SetDeadline(time.Now().Add(120 * time.Second))
-		cell := i % gateway.RoomCells
-		for k := 0; k < f.cfg.Adds; k++ {
-			if err := c.Add(gateRoom(i, f.cfg.Rooms), cell, int64(i+1)); err != nil {
-				return fmt.Errorf("add %d: %w", i, err)
+		cell := id % gateway.RoomCells
+		for k := 0; k < f.nadds; k++ {
+			if err := c.Add(gateRoom(id, f.rooms), cell, int64(id+1)); err != nil {
+				return fmt.Errorf("add %d: %w", id, err)
 			}
 		}
 		return nil
 	})
 }
 
+func (f *localFleet) deltas() ([]uint64, error) {
+	out := make([]uint64, len(f.got))
+	for i := range f.got {
+		out[i] = f.got[i].Load()
+	}
+	return out, nil
+}
+
 func (f *localFleet) close() error {
-	forEach(f.cfg.Sessions, 256, func(i int) error {
+	forEach(len(f.clients), 256, func(i int) error {
 		if f.clients[i] != nil {
 			f.clients[i].Close()
 			f.clients[i] = nil
 		}
 		return nil
 	})
+	f.readers.Wait()
 	return nil
 }
 
@@ -144,24 +187,37 @@ func newWorkerFleet(cfg GateConfig, addr string) (*workerFleet, error) {
 		}
 		f.cmds = append(f.cmds, cmd)
 		f.in = append(f.in, stdin)
-		f.out = append(f.out, bufio.NewScanner(stdout))
+		sc := bufio.NewScanner(stdout)
+		sc.Buffer(nil, 64<<20) // a deltas reply carries one count per session
+		f.out = append(f.out, sc)
 		offset += count
 	}
 	return f, nil
 }
 
-// expect reads one line from every worker and requires it to be tok;
-// anything else (a worker's error line, or its death) fails the phase.
-func (f *workerFleet) expect(tok string) error {
-	for w, sc := range f.out {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("gate worker %d: %w", w, err)
-			}
-			return fmt.Errorf("gate worker %d exited before %q", w, tok)
+// line reads worker w's next reply, which must start with tok; anything
+// else (a worker's error line, or its death) fails the phase. It
+// returns the words after tok.
+func (f *workerFleet) line(w int, tok string) ([]string, error) {
+	sc := f.out[w]
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, fmt.Errorf("gate worker %d: %w", w, err)
 		}
-		if line := sc.Text(); line != tok {
-			return fmt.Errorf("gate worker %d: %s", w, line)
+		return nil, fmt.Errorf("gate worker %d exited before %q", w, tok)
+	}
+	words := strings.Fields(sc.Text())
+	if len(words) == 0 || words[0] != tok {
+		return nil, fmt.Errorf("gate worker %d: %s", w, sc.Text())
+	}
+	return words[1:], nil
+}
+
+// expect reads one reply from every worker and requires it to be tok.
+func (f *workerFleet) expect(tok string) error {
+	for w := range f.out {
+		if _, err := f.line(w, tok); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -183,6 +239,29 @@ func (f *workerFleet) adds() error {
 		return err
 	}
 	return f.expect("sent")
+}
+
+// deltas asks every worker for its sessions' counts; workers own
+// ascending id ranges, so concatenating the replies orders by global id.
+func (f *workerFleet) deltas() ([]uint64, error) {
+	if err := f.send("deltas"); err != nil {
+		return nil, err
+	}
+	var out []uint64
+	for w := range f.out {
+		words, err := f.line(w, "deltas")
+		if err != nil {
+			return nil, err
+		}
+		for _, word := range words {
+			n, err := strconv.ParseUint(word, 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("gate worker %d: bad delta count %q", w, word)
+			}
+			out = append(out, n)
+		}
+	}
+	return out, nil
 }
 
 func (f *workerFleet) close() error {
@@ -224,32 +303,13 @@ func (f *workerFleet) shutdown() {
 // as an "error: ..." line so the parent's expect names them.
 func RunGateWorker(addr string, offset, count, rooms, adds int) error {
 	raiseNoFile(uint64(count) + 1024)
-	clients := make([]*gateway.Client, count)
-	defer func() {
-		for _, c := range clients {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
+	f := newLocalFleet(addr, offset, count, rooms, adds)
+	defer f.close()
 	fail := func(err error) error {
 		fmt.Printf("error: %v\n", err)
 		return err
 	}
-	err := forEach(count, 256, func(i int) error {
-		id := offset + i
-		c, err := gateway.DialClient(addr)
-		if err != nil {
-			return fmt.Errorf("dial %d: %w", id, err)
-		}
-		clients[i] = c
-		c.SetDeadline(time.Now().Add(120 * time.Second))
-		if _, _, err := c.Join(gateRoom(id, rooms)); err != nil {
-			return fmt.Errorf("join %d: %w", id, err)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := f.join(); err != nil {
 		return fail(err)
 	}
 	fmt.Println("ready")
@@ -257,30 +317,21 @@ func RunGateWorker(addr string, offset, count, rooms, adds int) error {
 	for sc.Scan() {
 		switch sc.Text() {
 		case "adds":
-			err := forEach(count, 256, func(i int) error {
-				id := offset + i
-				c := clients[i]
-				c.SetDeadline(time.Now().Add(120 * time.Second))
-				cell := id % gateway.RoomCells
-				for k := 0; k < adds; k++ {
-					if err := c.Add(gateRoom(id, rooms), cell, int64(id+1)); err != nil {
-						return fmt.Errorf("add %d: %w", id, err)
-					}
-				}
-				return nil
-			})
-			if err != nil {
+			if err := f.adds(); err != nil {
 				return fail(err)
 			}
 			fmt.Println("sent")
+		case "deltas":
+			got, _ := f.deltas() // local counts cannot fail
+			var b strings.Builder
+			b.WriteString("deltas")
+			for _, n := range got {
+				b.WriteByte(' ')
+				b.WriteString(strconv.FormatUint(n, 10))
+			}
+			fmt.Println(b.String())
 		case "close":
-			forEach(count, 256, func(i int) error {
-				if clients[i] != nil {
-					clients[i].Close()
-					clients[i] = nil
-				}
-				return nil
-			})
+			f.close()
 			fmt.Println("closed")
 			return nil
 		default:

@@ -79,6 +79,9 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %#x: %v", f.Kind, err)
 		}
+		if cap(buf) != len(buf) {
+			t.Fatalf("encode %#x: %d bytes in a %d-byte buffer", f.Kind, len(buf), cap(buf))
+		}
 		got, err := DecodeFrame(buf)
 		if err != nil {
 			t.Fatalf("decode %#x: %v", f.Kind, err)
@@ -92,6 +95,28 @@ func TestWireRoundTrip(t *testing.T) {
 				t.Fatalf("roundtrip state[%d]: %d != %d", i, got.State[i], f.State[i])
 			}
 		}
+	}
+}
+
+// BenchmarkEncodeFrame pins EncodeFrame's bytes/op per kind: a delta is
+// encoded once per broadcast, so its buffer is the gateway's hottest
+// allocation.
+func BenchmarkEncodeFrame(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    Frame
+	}{
+		{"delta", Frame{Kind: EvDelta, Room: "room-17", Cell: 5, Value: 1 << 20}},
+		{"state", Frame{Kind: EvState, Room: "room-17", State: make([]int64, RoomCells)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EncodeFrame(bc.f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -34,17 +34,22 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		return // upgrade already answered the HTTP side
 	}
-	sess := &session{
-		g:      s.g,
-		ws:     ws,
-		id:     s.g.nextSID.Add(1),
-		out:    make(chan []byte, s.g.cfg.SendQueue),
-		done:   make(chan struct{}),
-		joined: make(map[string]struct{}),
-	}
+	sess := s.g.newSession(ws)
 	s.g.stats.SessionsOpened.Add(1)
 	go sess.writeLoop()
 	sess.readLoop()
+}
+
+// newSession wraps an upgraded connection; the caller runs its loops.
+func (g *Gateway) newSession(ws *wsConn) *session {
+	return &session{
+		g:      g,
+		ws:     ws,
+		id:     g.nextSID.Add(1),
+		out:    make(chan []byte, g.cfg.SendQueue),
+		done:   make(chan struct{}),
+		joined: make(map[string]struct{}),
+	}
 }
 
 // session is one connected client. The reader goroutine decodes ops
@@ -111,19 +116,34 @@ func (s *session) sendFrame(f Frame) {
 	s.send(buf)
 }
 
-// writeLoop drains the send queue onto the websocket.
+// writeLoop drains the send queue onto the websocket. It blocks for one
+// frame, then takes every frame already queued behind it and writes the
+// lot with a single flush: one flush per drain instead of one per frame,
+// the same flush-on-queue-empty rule as tcpnet's writer. A batch is
+// bounded by the send queue's capacity, and a lone frame (the
+// request/reply case) still goes out at once.
 func (s *session) writeLoop() {
+	var batch [][]byte // grows to the largest drain seen, at most SendQueue+1
 	for {
 		select {
 		case <-s.done:
 			s.ws.close()
 			return
 		case frame := <-s.out:
-			if err := s.ws.writeMessage(frame); err != nil {
-				s.closeSession()
-				return
-			}
+			batch = append(batch[:0], frame)
 		}
+		// This goroutine is the queue's only receiver, so the frames
+		// counted by len are there to take without blocking.
+		for n := len(s.out); n > 0; n-- {
+			batch = append(batch, <-s.out)
+		}
+		err := s.ws.writeBatch(batch)
+		clear(batch) // drop the frame references until the next drain
+		if err != nil {
+			s.closeSession()
+			return
+		}
+		s.g.stats.Flushes.Add(1)
 	}
 }
 

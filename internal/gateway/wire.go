@@ -38,6 +38,13 @@ const RoomCells = 64
 // RoomStateBytes is a room region's size.
 const RoomStateBytes = RoomCells * 8
 
+// Fixed body sizes of the non-empty frame kinds; DecodeFrame checks them
+// and EncodeFrame sizes its buffer by them.
+const (
+	cellOpBytes = 1 + 8 // OpSet, OpAdd, EvDelta: cell, value
+	joinedBytes = 4 + 8 // EvJoined: space id, generation
+)
+
 // MaxRoomName bounds a room name (the wire field is one byte anyway).
 const MaxRoomName = 128
 
@@ -103,8 +110,8 @@ func DecodeFrame(buf []byte) (Frame, error) {
 			return f, badFrame("kind %#x carries %d unexpected body bytes", f.Kind, len(body))
 		}
 	case OpSet, OpAdd, EvDelta:
-		if len(body) != 9 {
-			return f, badFrame("kind %#x body of %d bytes, want 9", f.Kind, len(body))
+		if len(body) != cellOpBytes {
+			return f, badFrame("kind %#x body of %d bytes, want %d", f.Kind, len(body), cellOpBytes)
 		}
 		f.Cell = int(body[0])
 		if f.Cell >= RoomCells {
@@ -112,8 +119,8 @@ func DecodeFrame(buf []byte) (Frame, error) {
 		}
 		f.Value = int64(binary.LittleEndian.Uint64(body[1:]))
 	case EvJoined:
-		if len(body) != 12 {
-			return f, badFrame("EvJoined body of %d bytes, want 12", len(body))
+		if len(body) != joinedBytes {
+			return f, badFrame("EvJoined body of %d bytes, want %d", len(body), joinedBytes)
 		}
 		f.Space = int(binary.LittleEndian.Uint32(body))
 		f.Gen = binary.LittleEndian.Uint64(body[4:])
@@ -143,7 +150,7 @@ func EncodeFrame(f Frame) ([]byte, error) {
 	if len(f.Room) > MaxRoomName {
 		return nil, badFrame("room name of %d bytes", len(f.Room))
 	}
-	buf := make([]byte, 0, 2+len(f.Room)+RoomStateBytes)
+	buf := make([]byte, 0, 2+len(f.Room)+bodySize(f))
 	buf = append(buf, f.Kind, byte(len(f.Room)))
 	buf = append(buf, f.Room...)
 	switch f.Kind {
@@ -170,4 +177,20 @@ func EncodeFrame(f Frame) ([]byte, error) {
 		return nil, badFrame("unknown kind %#x", f.Kind)
 	}
 	return buf, nil
+}
+
+// bodySize is the wire body length EncodeFrame writes for f, so a delta
+// allocates its ~20 bytes rather than room for a whole state snapshot.
+func bodySize(f Frame) int {
+	switch f.Kind {
+	case OpSet, OpAdd, EvDelta:
+		return cellOpBytes
+	case EvJoined:
+		return joinedBytes
+	case EvState:
+		return RoomStateBytes
+	case EvError:
+		return len(f.Msg)
+	}
+	return 0
 }

@@ -162,56 +162,9 @@ func wsDial(addr, path string) (*wsConn, error) {
 // payloads, unexpected opcodes) come back as errors, never panics.
 func (c *wsConn) readMessage() ([]byte, error) {
 	for {
-		var hdr [2]byte
-		if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		opcode, fin, payload, err := c.readFrame()
+		if err != nil {
 			return nil, err
-		}
-		fin := hdr[0]&0x80 != 0
-		if hdr[0]&0x70 != 0 {
-			return nil, errors.New("gateway: websocket reserved bits set")
-		}
-		opcode := hdr[0] & 0x0F
-		masked := hdr[1]&0x80 != 0
-		length := uint64(hdr[1] & 0x7F)
-		switch length {
-		case 126:
-			var ext [2]byte
-			if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-				return nil, err
-			}
-			length = uint64(binary.BigEndian.Uint16(ext[:]))
-		case 127:
-			var ext [8]byte
-			if _, err := io.ReadFull(c.br, ext[:]); err != nil {
-				return nil, err
-			}
-			length = binary.BigEndian.Uint64(ext[:])
-		}
-		if length > maxWSPayload {
-			return nil, fmt.Errorf("gateway: websocket frame of %d bytes exceeds limit", length)
-		}
-		// RFC 6455 §5.1: client→server frames MUST be masked,
-		// server→client MUST NOT be.
-		if !c.client && !masked {
-			return nil, errors.New("gateway: unmasked client frame")
-		}
-		if c.client && masked {
-			return nil, errors.New("gateway: masked server frame")
-		}
-		var maskKey [4]byte
-		if masked {
-			if _, err := io.ReadFull(c.br, maskKey[:]); err != nil {
-				return nil, err
-			}
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(c.br, payload); err != nil {
-			return nil, err
-		}
-		if masked {
-			for i := range payload {
-				payload[i] ^= maskKey[i&3]
-			}
 		}
 		switch opcode {
 		case wsBinary, wsText:
@@ -234,12 +187,79 @@ func (c *wsConn) readMessage() ([]byte, error) {
 	}
 }
 
+// readFrame reads one websocket frame of any opcode and returns its
+// unmasked payload, enforcing the size limit and the mask rules.
+func (c *wsConn) readFrame() (opcode byte, fin bool, payload []byte, err error) {
+	var hdr [2]byte
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+		return 0, false, nil, err
+	}
+	fin = hdr[0]&0x80 != 0
+	if hdr[0]&0x70 != 0 {
+		return 0, false, nil, errors.New("gateway: websocket reserved bits set")
+	}
+	opcode = hdr[0] & 0x0F
+	masked := hdr[1]&0x80 != 0
+	length := uint64(hdr[1] & 0x7F)
+	switch length {
+	case 126:
+		var ext [2]byte
+		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
+			return 0, false, nil, err
+		}
+		length = uint64(binary.BigEndian.Uint16(ext[:]))
+	case 127:
+		var ext [8]byte
+		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
+			return 0, false, nil, err
+		}
+		length = binary.BigEndian.Uint64(ext[:])
+	}
+	if length > maxWSPayload {
+		return 0, false, nil, fmt.Errorf("gateway: websocket frame of %d bytes exceeds limit", length)
+	}
+	// RFC 6455 §5.1: client→server frames MUST be masked,
+	// server→client MUST NOT be.
+	if !c.client && !masked {
+		return 0, false, nil, errors.New("gateway: unmasked client frame")
+	}
+	if c.client && masked {
+		return 0, false, nil, errors.New("gateway: masked server frame")
+	}
+	var maskKey [4]byte
+	if masked {
+		if _, err := io.ReadFull(c.br, maskKey[:]); err != nil {
+			return 0, false, nil, err
+		}
+	}
+	payload = make([]byte, length)
+	if _, err := io.ReadFull(c.br, payload); err != nil {
+		return 0, false, nil, err
+	}
+	if masked {
+		for i := range payload {
+			payload[i] ^= maskKey[i&3]
+		}
+	}
+	return opcode, fin, payload, nil
+}
+
 // writeMessage sends one binary message.
 func (c *wsConn) writeMessage(payload []byte) error {
+	return c.writeBatch([][]byte{payload})
+}
+
+// writeBatch sends several binary messages with a single flush: the
+// frames go into the buffered writer back to back under one write-lock
+// hold, so a pong or close from the read side lands between batches,
+// never inside one.
+func (c *wsConn) writeBatch(payloads [][]byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := c.writeFrame(wsBinary, payload); err != nil {
-		return err
+	for _, p := range payloads {
+		if err := c.writeFrame(wsBinary, p); err != nil {
+			return err
+		}
 	}
 	return c.bw.Flush()
 }

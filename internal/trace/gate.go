@@ -15,6 +15,9 @@ type GateStats struct {
 
 	FramesIn  atomic.Uint64
 	FramesOut atomic.Uint64
+	// Flushes counts session-writer flushes: one per drain of a send
+	// queue, so FramesOut/Flushes is the writers' coalescing factor.
+	Flushes atomic.Uint64
 	// BadFrames counts client frames the decoder rejected (malformed,
 	// oversized, unknown op). Rejections answer with an error event or a
 	// close — never a panic.
@@ -67,6 +70,7 @@ func (g *GateStats) Snapshot() GateSnapshot {
 		RoomsDestroyed:     g.RoomsDestroyed.Load(),
 		FramesIn:           g.FramesIn.Load(),
 		FramesOut:          g.FramesOut.Load(),
+		Flushes:            g.Flushes.Load(),
 		BadFrames:          g.BadFrames.Load(),
 		OpsApplied:         g.OpsApplied.Load(),
 		OpsDropped:         g.OpsDropped.Load(),
@@ -84,6 +88,7 @@ type GateSnapshot struct {
 	SessionsOpened, SessionsClosed uint64
 	RoomsCreated, RoomsDestroyed   uint64
 	FramesIn, FramesOut, BadFrames uint64
+	Flushes                        uint64
 	OpsApplied, OpsDropped         uint64
 	StaleSpaceRefs, Broadcasts     uint64
 	SendQueueDrops, SlowClients    uint64
