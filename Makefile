@@ -7,8 +7,9 @@ GO ?= go
 # tree-collective and shared-payload fan-out paths (coll_test.go,
 # multisend_test.go); proto the aggregated push frames. gateway carries
 # the session fan-out: per-session writers, the coordinator, and the
-# room drains all share the stats and send-queue paths.
-RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
+# room drains all share the stats and send-queue paths. faultnet holds
+# the only delay scheduler and per-link resequencer.
+RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/faultnet ./internal/gossip ./proto ./internal/gateway
 
 .PHONY: ci vet build test race bench bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
 

@@ -18,7 +18,9 @@
 // Mailboxes are unbounded, which preserves the classic Active Messages
 // liveness argument: a send never blocks, so a handler can always complete,
 // so every mailbox is eventually drained. The pump drains the mailbox in
-// batches (one lock acquisition per burst, not per message); see mailbox.
+// batches (one lock acquisition per burst, not per message). That receive
+// side — mailboxes, handler table, pumps — is the Inbox, which every
+// transport embeds, so the contract above is implemented once.
 //
 // # Buffer ownership
 //
@@ -33,10 +35,8 @@
 package amnet
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/acedsm/ace/internal/trace"
 )
@@ -144,12 +144,6 @@ type Network interface {
 type ChanConfig struct {
 	// Nodes is the number of endpoints to create.
 	Nodes int
-	// Latency, if nonzero, delays every inter-node message's delivery by
-	// the given duration after its send time, modelling a fixed network
-	// latency. Each message is delivered at its own due time: messages
-	// sent ε apart arrive ε apart, and latency-free traffic (self-sends)
-	// is not queued behind delayed messages.
-	Latency time.Duration
 	// Lanes shards each endpoint's dispatch into this many pump
 	// goroutines, keyed by source node (lane = src mod Lanes), so
 	// handlers for messages from different senders can run on different
@@ -163,49 +157,25 @@ type ChanConfig struct {
 	Lanes int
 }
 
-// laneCount normalizes a configured lane count: 0 (unset) and 1 both
-// mean a single pump; more lanes than sources is pointless.
-func laneCount(lanes, nodes int) int {
-	if lanes < 1 {
-		return 1
-	}
-	if lanes > nodes {
-		return nodes
-	}
-	return lanes
-}
-
 // NewChanNetwork builds an in-process network of n endpoints connected by
-// unbounded mailboxes, one pump goroutine per node.
+// unbounded mailboxes, one pump goroutine per node and lane.
 func NewChanNetwork(cfg ChanConfig) (Network, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("amnet: invalid node count %d", cfg.Nodes)
 	}
-	lanes := laneCount(cfg.Lanes, cfg.Nodes)
-	nw := &chanNetwork{cfg: cfg}
-	nw.eps = make([]*chanEndpoint, cfg.Nodes)
+	nw := &chanNetwork{eps: make([]*chanEndpoint, cfg.Nodes)}
 	for i := range nw.eps {
-		ep := &chanEndpoint{
-			id:    NodeID(i),
-			nw:    nw,
-			boxes: make([]*mailbox, lanes),
-		}
-		for l := range ep.boxes {
-			ep.boxes[l] = newMailbox()
-		}
+		ep := &chanEndpoint{id: NodeID(i), nw: nw}
+		ep.Inbox = NewInbox(cfg.Lanes, cfg.Nodes, headerBytes, &ep.stats)
 		nw.eps[i] = ep
 	}
 	for _, ep := range nw.eps {
-		for l := range ep.boxes {
-			nw.wg.Add(1)
-			go ep.pump(&nw.wg, l)
-		}
+		ep.Start(&nw.wg, nil)
 	}
 	return nw, nil
 }
 
 type chanNetwork struct {
-	cfg ChanConfig
 	eps []*chanEndpoint
 	wg  sync.WaitGroup
 }
@@ -220,43 +190,24 @@ func (n *chanNetwork) Endpoints() []Endpoint {
 
 func (n *chanNetwork) Close() error {
 	for _, ep := range n.eps {
-		for _, box := range ep.boxes {
-			box.close()
-		}
+		ep.Close()
 	}
 	n.wg.Wait()
 	return nil
 }
 
-// chanEndpoint is one node's attachment: boxes holds one mailbox per
-// dispatch lane (a single element unless ChanConfig.Lanes sharded it),
-// each drained by its own pump goroutine. The handler table and stats
-// are shared across lanes — registration happens before traffic, and
-// trace.NetStats is atomic throughout.
+// chanEndpoint is one node's attachment: a Send pushes straight into the
+// destination's Inbox, by reference.
 type chanEndpoint struct {
-	id       NodeID
-	nw       *chanNetwork
-	boxes    []*mailbox
-	handlers [MaxHandlers]Handler
-	stats    trace.NetStats
-}
-
-// laneFor maps a source node to the mailbox its traffic lands in. Keying
-// by source keeps everything one sender emits in one FIFO lane.
-func (e *chanEndpoint) laneFor(src NodeID) *mailbox {
-	return e.boxes[int(src)%len(e.boxes)]
+	*Inbox
+	id    NodeID
+	nw    *chanNetwork
+	stats trace.NetStats
 }
 
 func (e *chanEndpoint) ID() NodeID { return e.id }
 
 func (e *chanEndpoint) Nodes() int { return len(e.nw.eps) }
-
-func (e *chanEndpoint) Register(id HandlerID, fn Handler) {
-	if int(id) >= MaxHandlers {
-		panic(fmt.Sprintf("amnet: handler id %d out of range", id))
-	}
-	e.handlers[id] = fn
-}
 
 func (e *chanEndpoint) Send(m Msg) {
 	if int(m.Dst) < 0 || int(m.Dst) >= len(e.nw.eps) {
@@ -264,12 +215,7 @@ func (e *chanEndpoint) Send(m Msg) {
 	}
 	m.Src = e.id
 	e.stats.CountSend(headerBytes + len(m.Payload))
-	dst := e.nw.eps[m.Dst]
-	var due time.Time
-	if e.nw.cfg.Latency > 0 && m.Dst != m.Src {
-		due = time.Now().Add(e.nw.cfg.Latency)
-	}
-	dst.laneFor(m.Src).push(item{msg: m, due: due, sent: e.stats.SendStamp()})
+	e.nw.eps[m.Dst].Push(m, e.stats.SendStamp())
 }
 
 // SendMulti fans m out to each destination with the payload encoded
@@ -294,117 +240,3 @@ func (e *chanEndpoint) SendMulti(dsts []NodeID, m Msg) {
 }
 
 func (e *chanEndpoint) Stats() *trace.NetStats { return &e.stats }
-
-func (e *chanEndpoint) pump(wg *sync.WaitGroup, lane int) {
-	defer wg.Done()
-	box := e.boxes[lane]
-	if e.nw.cfg.Latency > 0 {
-		e.pumpDelayed(box)
-		return
-	}
-	// Fast path: no modelled latency, so every item is deliverable the
-	// moment it is popped. Batches amortize the mailbox lock and wakeup
-	// over bursts.
-	var scratch []item
-	for {
-		batch, ok := box.popAll(scratch)
-		if !ok {
-			return
-		}
-		for i := range batch {
-			e.deliver(batch[i])
-			batch[i] = item{} // drop payload references promptly
-		}
-		scratch = batch
-	}
-}
-
-// pumpDelayed delivers each message at its own due time using a timer-
-// driven delay queue, so a delayed message never adds head-of-line
-// latency to traffic behind it. Per-pair FIFO is preserved: a pair's due
-// times are nondecreasing (fixed latency, monotone send times), the heap
-// breaks due-time ties by arrival sequence, and latency-free pairs
-// (self-sends, whose due time is zero) can have no earlier message
-// waiting in the heap.
-func (e *chanEndpoint) pumpDelayed(box *mailbox) {
-	var scratch []item
-	var dq delayQueue
-	var seq uint64
-	for {
-		batch, ok, closed := box.tryPopAll(scratch)
-		if !ok {
-			if closed {
-				// Close-then-drain: deliver what remains without
-				// waiting out the residual latency.
-				for dq.Len() > 0 {
-					e.deliver(heap.Pop(&dq).(delayed).item)
-				}
-				return
-			}
-			if dq.Len() == 0 {
-				box.await(0)
-				continue
-			}
-			if d := time.Until(dq[0].due); d > 0 {
-				box.await(d)
-				continue
-			}
-		}
-		for i := range batch {
-			it := batch[i]
-			if it.due.IsZero() {
-				e.deliver(it)
-			} else {
-				heap.Push(&dq, delayed{item: it, seq: seq})
-				seq++
-			}
-			batch[i] = item{}
-		}
-		scratch = batch
-		now := time.Now()
-		for dq.Len() > 0 && !dq[0].due.After(now) {
-			e.deliver(heap.Pop(&dq).(delayed).item)
-		}
-	}
-}
-
-func (e *chanEndpoint) deliver(it item) {
-	e.stats.ObserveDeliver(it.sent)
-	e.dispatch(it.msg)
-}
-
-func (e *chanEndpoint) dispatch(m Msg) {
-	e.stats.CountRecv(uint16(m.Handler), headerBytes+len(m.Payload))
-	h := e.handlers[m.Handler]
-	if h == nil {
-		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", e.id, m.Handler, m.Src))
-	}
-	h(m)
-}
-
-// delayed is one entry in the delay queue; seq breaks due-time ties in
-// arrival order so equal-due messages from one sender keep FIFO.
-type delayed struct {
-	item
-	seq uint64
-}
-
-type delayQueue []delayed
-
-func (q delayQueue) Len() int { return len(q) }
-func (q delayQueue) Less(i, j int) bool {
-	if q[i].due.Equal(q[j].due) {
-		return q[i].seq < q[j].seq
-	}
-	return q[i].due.Before(q[j].due)
-}
-func (q delayQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *delayQueue) Push(x any)   { *q = append(*q, x.(delayed)) }
-func (q *delayQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = delayed{}
-	*q = old[:n-1]
-	return it
-}

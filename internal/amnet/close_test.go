@@ -2,62 +2,23 @@ package amnet
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestCloseDrainsDelayHeapPromptly pins the close-then-drain contract of
-// the latency pump: messages still sitting in the delay heap when Close
-// is called are delivered before Close returns — without waiting out
-// their residual modelled latency — and nothing is delivered after.
-func TestCloseDrainsDelayHeapPromptly(t *testing.T) {
-	const latency = 2 * time.Second
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: latency})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var delivered atomic.Int64
-	eps := nw.Endpoints()
-	eps[1].Register(1, func(m Msg) { delivered.Add(1) })
-
-	const total = 64
-	for i := 0; i < total; i++ {
-		eps[0].Send(Msg{Dst: 1, Handler: 1, A: uint64(i)})
-	}
-	start := time.Now()
-	if err := nw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if elapsed >= latency {
-		t.Fatalf("Close waited out the modelled latency: took %v with %v latency", elapsed, latency)
-	}
-	if n := delivered.Load(); n != total {
-		t.Fatalf("Close returned with %d of %d delayed messages delivered", n, total)
-	}
-	// Nothing may arrive after Close has returned.
-	after := delivered.Load()
-	time.Sleep(20 * time.Millisecond)
-	if n := delivered.Load(); n != after {
-		t.Fatalf("%d deliveries happened after Close returned", n-after)
-	}
-}
-
-// TestCloseLeaksNoPumpGoroutines pins that closing a latency-pumped
-// network tears down its pump goroutines (and any await timers they
-// armed): the goroutine count settles back to its pre-network level.
+// TestCloseLeaksNoPumpGoroutines pins that closing a lane-sharded
+// network tears down every pump goroutine, busy or parked: the
+// goroutine count settles back to its pre-network level.
 func TestCloseLeaksNoPumpGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 4; round++ {
-		nw, err := NewChanNetwork(ChanConfig{Nodes: 4, Latency: time.Hour})
+		nw, err := NewChanNetwork(ChanConfig{Nodes: 4, Lanes: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		eps := nw.Endpoints()
 		eps[1].Register(1, func(m Msg) {})
-		// Park a message deep in the delay heap so the pump is blocked in
-		// a timed await when Close arrives.
+		// One lane has just delivered; the others never woke.
 		eps[0].Send(Msg{Dst: 1, Handler: 1})
 		time.Sleep(time.Millisecond)
 		if err := nw.Close(); err != nil {

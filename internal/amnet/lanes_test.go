@@ -113,8 +113,8 @@ func TestLanesClamped(t *testing.T) {
 	for _, tc := range []struct{ lanes, nodes, want int }{
 		{0, 4, 1}, {-3, 4, 1}, {1, 4, 1}, {3, 4, 3}, {9, 4, 4},
 	} {
-		if got := laneCount(tc.lanes, tc.nodes); got != tc.want {
-			t.Errorf("laneCount(%d, %d) = %d, want %d", tc.lanes, tc.nodes, got, tc.want)
+		if got := len(NewInbox(tc.lanes, tc.nodes, headerBytes, nil).boxes); got != tc.want {
+			t.Errorf("NewInbox(%d lanes, %d nodes) has %d lanes, want %d", tc.lanes, tc.nodes, got, tc.want)
 		}
 	}
 }

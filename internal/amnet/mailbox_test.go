@@ -3,7 +3,6 @@ package amnet
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestMailboxBatchedPop(t *testing.T) {
@@ -93,28 +92,32 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 		t.Fatal("drained mailbox still reports items after close")
 	}
 	// Pushes after close are dropped, and pop stays terminal.
-	b.push(item{msg: Msg{A: 99}})
+	if n := b.push(item{msg: Msg{A: 99}}); n != 0 {
+		t.Fatalf("push after close reported depth %d, want 0", n)
+	}
 	if batch, ok := b.popAll(nil); ok {
 		t.Fatalf("push after close was queued: %d items", len(batch))
 	}
 }
 
-func TestMailboxAwaitTimer(t *testing.T) {
+// TestMailboxPushAfterCloseRecycles pins the closed-mailbox drop
+// policy: the sender gave the payload up at Send, so a push that can no
+// longer be delivered returns the buffer to the pool rather than leaving
+// it to the garbage collector. sync.Pool may drop a Put (it does so at
+// random under the race detector) or hand it to another P, so the check
+// retries and passes once the dropped buffer comes back out of Alloc.
+func TestMailboxPushAfterCloseRecycles(t *testing.T) {
 	b := newMailbox()
-	start := time.Now()
-	b.await(10 * time.Millisecond)
-	if el := time.Since(start); el < 5*time.Millisecond {
-		t.Fatalf("await returned after %v, want ~10ms", el)
+	b.close()
+	for try := 0; try < 100; try++ {
+		buf := Alloc(200)
+		b.push(item{msg: Msg{Payload: buf}})
+		again := Alloc(200)
+		if &again[0] == &buf[0] {
+			return
+		}
 	}
-	// A pending notification returns immediately.
-	b.push(item{})
-	b.popAll(nil)
-	b.push(item{})
-	start = time.Now()
-	b.await(time.Second)
-	if el := time.Since(start); el > 500*time.Millisecond {
-		t.Fatalf("await ignored notify, blocked %v", el)
-	}
+	t.Fatal("payload pushed after close never returned to the pool")
 }
 
 func TestAllocRecycleClasses(t *testing.T) {
@@ -158,67 +161,4 @@ func TestRecycleReuse(t *testing.T) {
 	var stack [8]byte
 	Recycle(stack[:])
 	Recycle(nil)
-}
-
-// TestLatencyNoHeadOfLineBlocking sends two delayed messages ε apart and
-// checks they arrive ε apart (each at its own due time), and that a
-// latency-free self-send overtakes a delayed message rather than queueing
-// behind it.
-func TestLatencyNoHeadOfLineBlocking(t *testing.T) {
-	const lat = 60 * time.Millisecond
-	const eps = 15 * time.Millisecond
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: lat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	es := nw.Endpoints()
-	arrivals := make(chan struct {
-		a  uint64
-		at time.Time
-	}, 4)
-	es[1].Register(1, func(m Msg) {
-		arrivals <- struct {
-			a  uint64
-			at time.Time
-		}{m.A, time.Now()}
-	})
-	selfGot := make(chan time.Time, 1)
-	es[1].Register(2, func(m Msg) { selfGot <- time.Now() })
-
-	start := time.Now()
-	es[0].Send(Msg{Dst: 1, Handler: 1, A: 1})
-	time.Sleep(eps)
-	es[0].Send(Msg{Dst: 1, Handler: 1, A: 2})
-	// While both remote messages are still in flight, a self-send on the
-	// destination must be delivered immediately.
-	es[1].Send(Msg{Dst: 1, Handler: 2})
-	select {
-	case at := <-selfGot:
-		if d := at.Sub(start); d > lat/2 {
-			t.Errorf("self-send waited %v behind delayed traffic", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("self-send never delivered")
-	}
-
-	var at1, at2 time.Time
-	for i := 0; i < 2; i++ {
-		select {
-		case a := <-arrivals:
-			if a.a == 1 {
-				at1 = a.at
-			} else {
-				at2 = a.at
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("delayed message never delivered")
-		}
-	}
-	if d := at1.Sub(start); d < lat-5*time.Millisecond {
-		t.Errorf("first message arrived after %v, want >= ~%v", d, lat)
-	}
-	if gap := at2.Sub(at1); gap > lat/2 {
-		t.Errorf("messages sent %v apart arrived %v apart (head-of-line blocking)", eps, gap)
-	}
 }

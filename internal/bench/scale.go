@@ -129,7 +129,7 @@ func measureScalePoint(w Workloads, gmp, lanes, perSender, payload int) ([]Scale
 	}
 	var best time.Duration
 	for i := 0; i < fabricReps; i++ {
-		o, err := runAceCluster(core.Options{Procs: w.Procs, Registry: proto.NewRegistry(), DispatchLanes: lanes}, fn)
+		o, err := runAceCluster(core.Options{Procs: w.Procs, Registry: proto.NewRegistry(), Transport: amnet.ChanConfig{Lanes: lanes}}, fn)
 		if err != nil {
 			return nil, fmt.Errorf("em3d: %w", err)
 		}
@@ -144,7 +144,7 @@ func measureScalePoint(w Workloads, gmp, lanes, perSender, payload int) ([]Scale
 // bracketHitChurnLanes is bracketHitChurn with the cluster's dispatch
 // sharded across the given lane count.
 func bracketHitChurnLanes(procs int, window time.Duration, lanes int) (int, time.Duration, time.Duration, int64, error) {
-	return bracketHitChurnOpts(core.Options{Procs: procs, Registry: proto.NewRegistry(), DispatchLanes: lanes}, window)
+	return bracketHitChurnOpts(core.Options{Procs: procs, Registry: proto.NewRegistry(), Transport: amnet.ChanConfig{Lanes: lanes}}, window)
 }
 
 // MeasureScale sweeps the scaling suite over the given GOMAXPROCS

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/faultnet"
 	"github.com/acedsm/ace/internal/trace"
@@ -38,7 +39,7 @@ type Config struct {
 	Protocol string // required: a library protocol, or "broken"
 	Policy   string // named fault policy; see Policies
 	// Lanes shards each processor's dispatch across the given number of
-	// pump lanes (core.Options.DispatchLanes). Zero keeps the classic
+	// pump lanes (amnet.ChanConfig.Lanes). Zero keeps the classic
 	// single pump; the conformance invariants must hold either way.
 	Lanes int
 	// Coll forces the collective topology: "star", "tree", or ""/"auto"
@@ -200,7 +201,7 @@ func Run(cfg Config) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: defaultProto,
-		DispatchLanes:   cfg.Lanes,
+		Transport:       amnet.ChanConfig{Lanes: cfg.Lanes},
 		Coll:            coll,
 		Faults:          pol,
 		Adapt:           adapt,

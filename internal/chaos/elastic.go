@@ -81,7 +81,7 @@ func RunRejoin(cfg RejoinConfig) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: cfg.Protocol,
-		DispatchLanes:   cfg.Lanes,
+		Transport:       amnet.ChanConfig{Lanes: cfg.Lanes},
 		Faults:          pol,
 		SyncTimeout:     2 * time.Minute,
 	})
@@ -334,7 +334,7 @@ func RunMigrate(cfg MigrateConfig) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: cfg.Protocol,
-		DispatchLanes:   cfg.Lanes,
+		Transport:       amnet.ChanConfig{Lanes: cfg.Lanes},
 		Faults:          pol,
 		SyncTimeout:     2 * time.Minute,
 	})

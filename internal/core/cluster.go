@@ -33,26 +33,14 @@ type Options struct {
 	// already-built network. Connect is asked for Procs nodes; the
 	// endpoints it returns are this process's share of the cluster —
 	// all Procs of them in-process, a subset in a multi-process
-	// deployment (see Join). Nil means an in-process channel network.
+	// deployment (see Join). Nil means an in-process channel network
+	// with one dispatch pump per processor; pass amnet.ChanConfig{Lanes:
+	// n} to shard dispatch across n pump lanes keyed by source node (the
+	// runtime's own handlers are safe under sharding: lane keying keeps
+	// per-sender FIFO, and the handler-touched state that used to be
+	// pump-private is locked). Injected latency is a fault policy
+	// (Faults.Delay), not a transport setting.
 	Transport amnet.Transport
-
-	// Latency, for the default in-process network, delays every
-	// inter-node message by the given duration. Ignored when Transport
-	// is set.
-	Latency time.Duration
-
-	// DispatchLanes, for the default in-process network, shards each
-	// processor's dispatch into the given number of pump lanes keyed by
-	// source node, so handlers for messages from different senders run
-	// on different cores (amnet.ChanConfig.Lanes). Zero or one keeps the
-	// classic single pump per processor. The runtime's own handlers are
-	// safe under sharding: per-sender FIFO is preserved by lane keying,
-	// and the handler-touched state that used to be pump-private
-	// (barrier arrivals, reduction accumulators, region lock queues) is
-	// locked. Ignored when Transport is set — put the lane count in the
-	// transport's own config (amnet.ChanConfig.Lanes, tcpnet.Config.Lanes)
-	// instead.
-	DispatchLanes int
 
 	// Trace, if non-nil, enables the observability layer (package
 	// trace): per-space operation counters and latency histograms,
@@ -211,7 +199,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	tr := opts.Transport
 	own := true
 	if tr == nil {
-		tr = amnet.ChanConfig{Latency: opts.Latency, Lanes: opts.DispatchLanes}
+		tr = amnet.ChanConfig{}
 	} else if _, fixed := tr.(amnet.FixedTransport); fixed {
 		// A pre-built network stays caller-owned.
 		own = false

@@ -208,7 +208,7 @@ func TestTreeRootNotSerialized(t *testing.T) {
 // state tables must drain to empty when the run ends.
 func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 	const procs, rounds = 8, 200
-	cl, err := NewCluster(Options{Procs: procs, DispatchLanes: 4, Coll: CollConfig{Topology: CollTree}})
+	cl, err := NewCluster(Options{Procs: procs, Transport: amnet.ChanConfig{Lanes: 4}, Coll: CollConfig{Topology: CollTree}})
 	if err != nil {
 		t.Fatal(err)
 	}

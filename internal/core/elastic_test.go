@@ -23,9 +23,9 @@ func TestMigrateHomeRace(t *testing.T) {
 		lanes := lanes
 		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
 			cl, err := NewCluster(Options{
-				Procs:         procs,
-				DispatchLanes: lanes,
-				SyncTimeout:   time.Minute,
+				Procs:       procs,
+				Transport:   amnet.ChanConfig{Lanes: lanes},
+				SyncTimeout: time.Minute,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -3,10 +3,12 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"github.com/acedsm/ace/internal/amnet"
 )
 
 // TestShardedDispatchSyncStress exercises the handler-state audit for
-// sharded dispatch: with DispatchLanes > 1, barrier arrivals, lock
+// sharded dispatch: with more than one transport lane, barrier arrivals, lock
 // requests and reduction contributions from different processors run on
 // node 0 (and each home) concurrently, so barArr, the directory lock
 // queues and collAcc are hit from multiple pump goroutines at once.
@@ -19,7 +21,7 @@ func TestShardedDispatchSyncStress(t *testing.T) {
 	)
 	for _, lanes := range []int{2, 8} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			cl, err := NewCluster(Options{Procs: procs, DispatchLanes: lanes})
+			cl, err := NewCluster(Options{Procs: procs, Transport: amnet.ChanConfig{Lanes: lanes}})
 			if err != nil {
 				t.Fatalf("NewCluster: %v", err)
 			}

@@ -30,8 +30,8 @@ import (
 //     application-thread-private.
 //   - barMu protects node 0's barrier arrival table (barArr) and accMu
 //     node 0's reduction accumulators (collAcc). Both used to be
-//     pump-private; with sharded dispatch (Options.DispatchLanes,
-//     transport Lanes) handlers from different senders run concurrently,
+//     pump-private; with sharded dispatch (the transport's Lanes)
+//     handlers from different senders run concurrently,
 //     so the per-sender FIFO that lane keying preserves no longer
 //     implies whole-node handler serialization. The same goes for the
 //     region lock queue, guarded by Directory.lockMu. Completions are

@@ -190,7 +190,7 @@ func (n *Network) Close() error {
 // tested against without a real network.
 func (n *Network) Kill(peer amnet.NodeID) {
 	n.killMu.Lock()
-	if int(peer) >= len(n.killed) || n.killed[peer] {
+	if peer < 0 || int(peer) >= len(n.killed) || n.killed[peer] {
 		n.killMu.Unlock()
 		return
 	}
@@ -207,7 +207,7 @@ func (n *Network) Kill(peer amnet.NodeID) {
 // released to a runtime that has re-armed its peer-down latch.
 func (n *Network) Revive(peer amnet.NodeID) {
 	n.killMu.Lock()
-	if int(peer) < len(n.killed) {
+	if peer >= 0 && int(peer) < len(n.killed) {
 		n.killed[peer] = false
 	}
 	n.killMu.Unlock()

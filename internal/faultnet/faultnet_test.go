@@ -255,3 +255,47 @@ func TestWrapForwardsInnerPeerDown(t *testing.T) {
 		t.Fatalf("buffered peer-down = %d, want 0", p)
 	}
 }
+
+// TestKillReviveBounds: Kill and Revive ignore a peer id outside the
+// network — on either side of the range — instead of indexing past the
+// killed table, and act on a valid one.
+func TestKillReviveBounds(t *testing.T) {
+	const nodes = 3
+	for _, tc := range []struct {
+		name  string
+		peer  amnet.NodeID
+		valid bool
+	}{
+		{"negative", -1, false},
+		{"past-end", nodes, false},
+		{"valid", 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: nodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nw := Wrap(inner, Policy{})
+			defer nw.Close()
+			var downs atomic.Int32
+			for _, ep := range nw.Endpoints() {
+				ep.(amnet.PeerAware).SetPeerDownHandler(func(amnet.NodeID) { downs.Add(1) })
+			}
+			nw.Kill(tc.peer)
+			want := int32(0)
+			if tc.valid {
+				want = nodes
+				if !nw.isKilled(tc.peer) {
+					t.Fatal("valid peer not marked killed")
+				}
+			}
+			if got := downs.Load(); got != want {
+				t.Fatalf("peer-down fired %d times, want %d", got, want)
+			}
+			nw.Revive(tc.peer)
+			if tc.valid && nw.isKilled(tc.peer) {
+				t.Fatal("Revive left the peer killed")
+			}
+		})
+	}
+}

@@ -8,46 +8,6 @@ import (
 	"github.com/acedsm/ace/internal/amnet"
 )
 
-func TestQueueBatchedPop(t *testing.T) {
-	q := newQueue()
-	const n = 64
-	for i := 0; i < n; i++ {
-		q.push(frame{msg: amnet.Msg{A: uint64(i)}})
-	}
-	batch, ok := q.popAll(nil)
-	if !ok {
-		t.Fatal("popAll reported closed")
-	}
-	if len(batch) != n {
-		t.Fatalf("batched pop returned %d frames, want %d in one swap", len(batch), n)
-	}
-	for i, f := range batch {
-		if f.msg.A != uint64(i) {
-			t.Fatalf("out of order at %d: got %d", i, f.msg.A)
-		}
-	}
-}
-
-func TestQueueCloseWhileNonEmptyDrains(t *testing.T) {
-	q := newQueue()
-	for i := 0; i < 3; i++ {
-		q.push(frame{msg: amnet.Msg{A: uint64(i)}})
-	}
-	q.close()
-	batch, ok := q.popAll(nil)
-	if !ok || len(batch) != 3 {
-		t.Fatalf("pop after close = %d frames, ok=%v; want 3, true", len(batch), ok)
-	}
-	if _, ok := q.popAll(batch); ok {
-		t.Fatal("drained queue still reports frames after close")
-	}
-	// Pushes after close are dropped.
-	q.push(frame{msg: amnet.Msg{A: 9}})
-	if _, ok := q.popAll(nil); ok {
-		t.Fatal("push after close was queued")
-	}
-}
-
 func TestRegisterOutOfRange(t *testing.T) {
 	nw, err := New(Loopback(1))
 	if err != nil {

@@ -17,12 +17,14 @@
 // (amnet.Alloc/Recycle); a delivered Msg.Payload is owned by the
 // handler per the fabric's ownership contract.
 //
-// Dispatch can be sharded across cores: Config.Lanes splits each local
-// node's inbound queue into N lanes keyed by source node, each drained
-// by its own pump goroutine. Per-(sender, handler) FIFO is preserved —
-// one sender's frames always land in one lane — but handlers for
-// different senders may run concurrently (see the amnet package comment
-// for the contract this demands from handler code).
+// Dispatch is the shared amnet.Inbox, the same receive side the
+// in-process fabric uses: readers push decoded frames into it, and its
+// batched pumps run the handlers. Config.Lanes shards it into N lanes
+// keyed by source node, each drained by its own pump goroutine.
+// Per-(sender, handler) FIFO is preserved — one sender's frames always
+// land in one lane — but handlers for different senders may run
+// concurrently (see the amnet package comment for the contract this
+// demands from handler code).
 //
 // Connections are supervised. Every data frame carries a per-link
 // sequence number and stays journaled on the sender until the receiver
@@ -112,7 +114,7 @@ type Config struct {
 	// per-(sender, handler) FIFO; whole-node handler serialization is
 	// given up, so handler state must tolerate concurrent invocations
 	// from distinct senders. Zero or one means the classic single pump
-	// per node; values above Nodes are clamped.
+	// per node; values above Nodes are clamped (see amnet.NewInbox).
 	Lanes int
 }
 
@@ -137,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.Lanes < 1 {
-		c.Lanes = 1
-	}
-	if c.Nodes > 0 && c.Lanes > c.Nodes {
-		c.Lanes = c.Nodes
 	}
 	return c
 }
@@ -233,14 +229,11 @@ func Listen(cfg Config) (*Node, error) {
 		ep := &endpoint{
 			id:       amnet.NodeID(id),
 			nw:       nw,
-			boxes:    make([]*queue, nw.cfg.Lanes),
 			links:    make([]recvLink, cfg.Nodes),
 			downSent: make(map[amnet.NodeID]bool),
 			inbound:  make(map[net.Conn]struct{}),
 		}
-		for k := range ep.boxes {
-			ep.boxes[k] = newQueue()
-		}
+		ep.Inbox = amnet.NewInbox(cfg.Lanes, cfg.Nodes, frameHeader, &ep.stats)
 		nw.eps[i] = ep
 		nw.byID[id] = ep
 	}
@@ -316,10 +309,7 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	// bootstrap) may begin decoding and acking.
 	nw.wire()
 	for _, ep := range nw.eps {
-		for lane := range ep.boxes {
-			nw.pumpWG.Add(1)
-			go ep.pump(&nw.pumpWG, lane)
-		}
+		ep.Start(&nw.pumpWG, nw.started)
 	}
 	return nw, nil
 }
@@ -405,11 +395,12 @@ func (n *network) Start() { n.startOnce.Do(func() { close(n.started) }) }
 // parked readers exit.
 func (n *network) wire() { n.wireOnce.Do(func() { close(n.wired) }) }
 
-// DeclarePeerDown forces the supervised senders to peer as lost, as if
-// their reconnect budgets were exhausted: the gossip layer's suspicion
-// verdict feeding the same amnet.PeerAware path the transport uses for
-// its own failures. Idempotent; a no-op for a local or already-lost
-// peer's healthy links is avoided by the per-endpoint downSent guard.
+// DeclarePeerDown declares peer lost on every local endpoint's link to
+// it, as if those links had exhausted their reconnect budgets. It is how
+// the gossip layer's suspicion verdict enters the same amnet.PeerAware
+// path the transport uses for its own failures. It is idempotent: each
+// endpoint's handler fires at most once per peer. An out-of-range peer
+// is ignored, and a local peer is not declared down to itself.
 func (n *network) DeclarePeerDown(peer amnet.NodeID) {
 	if int(peer) < 0 || int(peer) >= n.nodes {
 		return
@@ -464,8 +455,8 @@ func (n *network) KillLink(src, dst int) {
 
 // Close tears the mesh down in dependency order: stop accepting, drain
 // and close every sender (closing its connection unblocks the remote
-// reader), wait for readers, then close the mailboxes so the pumps
-// exit.
+// reader), wait for readers, then close the inboxes so the pumps drain
+// and exit.
 func (n *network) Close() error {
 	n.closed.Store(true)
 	n.Start() // release gated pumps so they can drain and exit
@@ -506,11 +497,8 @@ func (n *network) Close() error {
 		}
 	}
 	for _, ep := range n.eps {
-		if ep == nil {
-			continue
-		}
-		for _, box := range ep.boxes {
-			box.close()
+		if ep != nil {
+			ep.Close()
 		}
 	}
 	n.pumpWG.Wait()
@@ -1004,18 +992,17 @@ type recvLink struct {
 	sinceAck int    // data frames since the last ack went out
 }
 
+// endpoint is one local node: its readers push decoded frames into the
+// embedded Inbox, whose pumps (held behind the network's start gate)
+// run the handlers.
 type endpoint struct {
-	id  amnet.NodeID
-	nw  *network
-	out []*sender
-	// boxes holds one inbound frame queue per dispatch lane (a single
-	// element unless Config.Lanes sharded it), each drained by its own
-	// pump. Readers push into the lane of the frame's source node.
-	boxes    []*queue
-	handlers [amnet.MaxHandlers]amnet.Handler
-	stats    trace.NetStats
-	readers  sync.WaitGroup
-	links    []recvLink
+	*amnet.Inbox
+	id      amnet.NodeID
+	nw      *network
+	out     []*sender
+	stats   trace.NetStats
+	readers sync.WaitGroup
+	links   []recvLink
 
 	// inbound tracks the accepted connections feeding the readers, so
 	// Close can sever them locally instead of waiting for the remote
@@ -1030,13 +1017,6 @@ type endpoint struct {
 
 func (e *endpoint) ID() amnet.NodeID { return e.id }
 func (e *endpoint) Nodes() int       { return e.nw.nodes }
-
-func (e *endpoint) Register(id amnet.HandlerID, fn amnet.Handler) {
-	if int(id) >= amnet.MaxHandlers {
-		panic(fmt.Sprintf("tcpnet: handler id %d out of range", id))
-	}
-	e.handlers[id] = fn
-}
 
 // CopiesPayloadOnSend reports that Send copies the payload into the
 // frame buffer before returning, so callers keep ownership of their
@@ -1095,7 +1075,7 @@ func (e *endpoint) Send(m amnet.Msg) {
 	}
 	m.Src = e.id
 	e.nw.Start() // a local send implies local handlers are registered
-	e.countSend(m)
+	e.stats.CountSend(frameHeader + len(m.Payload))
 	buf := amnet.Alloc(frameHeader + len(m.Payload))
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Dst))
@@ -1131,11 +1111,11 @@ func (e *endpoint) sendAck(src amnet.NodeID, n uint64) {
 func (e *endpoint) Stats() *trace.NetStats { return &e.stats }
 
 // addReader starts a goroutine decoding frames from one incoming
-// connection into the node's queue. Reads are buffered, and each
+// connection into the node's inbox. Reads are buffered, and each
 // payload lands in a pooled buffer owned by the eventual handler.
 // The dedup horizon (recvLink) outlives the connection: a replacement
 // reader after a reconnect drops the replayed frames the old one
-// already delivered, and pushes under the link lock so the mailbox
+// already delivered, and pushes under the link lock so the inbox
 // keeps per-link sequence order even if old and new briefly overlap.
 func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 	e.inboundMu.Lock()
@@ -1160,7 +1140,6 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 		}
 		br := bufio.NewReaderSize(conn, 64<<10)
 		link := &e.links[src]
-		box := e.boxes[int(src)%len(e.boxes)]
 		ackEvery := e.nw.cfg.AckEvery
 		for {
 			f, err := readFrame(br)
@@ -1196,7 +1175,7 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 				continue
 			}
 			link.seen = f.seq
-			box.push(f)
+			depth := e.Push(f.msg, f.sent)
 			link.sinceAck++
 			ackNow := link.sinceAck >= ackEvery || br.Buffered() == 0
 			var ackSeq uint64
@@ -1207,6 +1186,17 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 			link.mu.Unlock()
 			if ackNow {
 				e.sendAck(src, ackSeq)
+			}
+			// The deep-water yield only helps when reader and pump
+			// compete for one hardware context (where the scheduler can
+			// starve the pump for whole timeslices); with real cores
+			// available the pump runs in parallel and yielding just
+			// throttles the reader. The GOMAXPROCS read is two atomic
+			// loads — cheap enough to pay per deep event, and it tracks
+			// runtime.GOMAXPROCS changes (the scaling harness sweeps it)
+			// instead of freezing the startup value.
+			if depth >= deepWater && runtime.GOMAXPROCS(0) == 1 {
+				runtime.Gosched()
 			}
 		}
 	}()
@@ -1261,45 +1251,6 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 	return f, int(total) - (frameHeader - 4), nil
 }
 
-// pump drains one lane's queue in batches and dispatches its handlers,
-// one at a time: one lock/wake per burst instead of per message. With a
-// single lane this serializes all handlers on the node; with sharding it
-// serializes each sender's handlers while different lanes run in
-// parallel.
-func (e *endpoint) pump(wg *sync.WaitGroup, lane int) {
-	defer wg.Done()
-	<-e.nw.started // hold dispatch until handler registration finishes
-	box := e.boxes[lane]
-	var scratch []frame
-	for {
-		batch, ok := box.popAll(scratch)
-		if !ok {
-			return
-		}
-		for i := range batch {
-			f := &batch[i]
-			e.stats.ObserveDeliver(f.sent)
-			m := f.msg
-			e.countRecv(m)
-			h := e.handlers[m.Handler]
-			if h == nil {
-				panic(fmt.Sprintf("tcpnet: node %d: no handler %d", e.id, m.Handler))
-			}
-			h(m)
-			batch[i] = frame{} // drop payload references promptly
-		}
-		scratch = batch
-	}
-}
-
-func (e *endpoint) countSend(m amnet.Msg) {
-	e.stats.CountSend(frameHeader + len(m.Payload))
-}
-
-func (e *endpoint) countRecv(m amnet.Msg) {
-	e.stats.CountRecv(uint16(m.Handler), frameHeader+len(m.Payload))
-}
-
 // frame is a decoded message plus its sender's trace-clock stamp (0 when
 // latency sampling was off at the sender) and its link sequence number
 // (0 for control frames).
@@ -1309,75 +1260,11 @@ type frame struct {
 	seq  uint64
 }
 
-// queue is an unbounded MPSC mailbox (the no-deadlock property of the
-// fabric depends on sends never blocking on the receiver). The pump
-// drains it with popAll, one lock acquisition per burst.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []frame
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// deepWater is the pending depth past which push starts yielding the
-// processor after each frame. The mailbox must stay unbounded for the
-// runtime's deadlock-freedom argument (handlers may send while every
-// peer's queue is deep), so readers are never blocked — but on a
+// deepWater is the inbox lane depth past which a reader yields the
+// processor after each frame it pushes. The inbox must stay unbounded
+// for the runtime's deadlock-freedom argument (handlers may send while
+// every peer's queue is deep), so readers are never blocked — but on a
 // loaded scheduler the readers can otherwise starve the pump for long
 // stretches, ballooning the queue and defeating the buffer pool.
 // Gosched is only a hint: liveness is unaffected.
 const deepWater = 1024
-
-func (q *queue) push(f frame) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		amnet.Recycle(f.msg.Payload)
-		return
-	}
-	q.items = append(q.items, f)
-	deep := len(q.items) >= deepWater
-	q.mu.Unlock()
-	q.cond.Signal()
-	// The deep-water yield only helps when reader and pump compete for
-	// one hardware context (where the scheduler can starve the pump for
-	// whole timeslices); with real cores available the pump runs in
-	// parallel and yielding just throttles the reader. The GOMAXPROCS
-	// read is two atomic loads — cheap enough to pay per deep event, and
-	// it tracks runtime.GOMAXPROCS changes (the scaling harness sweeps
-	// it) instead of freezing the startup value.
-	if deep && runtime.GOMAXPROCS(0) == 1 {
-		runtime.Gosched()
-	}
-}
-
-// popAll blocks until at least one frame is pending, then swaps the
-// whole pending slice with `into` (reset to length zero) and returns it.
-// ok is false only when the queue is closed and fully drained. The
-// caller owns the returned slice until it passes it back in.
-func (q *queue) popAll(into []frame) (batch []frame, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return into[:0], false
-	}
-	batch = q.items
-	q.items = into[:0]
-	return batch, true
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
-}

@@ -257,7 +257,6 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 
 	opts := cfg.Options
 	opts.Procs = cfg.Nodes
-	opts.Latency = 0
 	opts.Faults = nil
 	opts.Transport = amnet.TransportFunc(func(int) (amnet.Network, error) { return nw, nil })
 	if opts.Registry == nil {
